@@ -16,7 +16,7 @@ use rtgs_accel::{
 use rtgs_core::{AdaptivePruner, PruningConfig, RtgsConfig};
 use rtgs_render::reference;
 use rtgs_render::{
-    backward, backward_fused_with, backward_with, compute_loss, render_frame, render_frame_with,
+    backward_fused_with, compute_loss, render_frame, render_frame_fused_with, render_frame_with,
     render_fused_with, render_with, LossConfig, WorkloadTrace,
 };
 use rtgs_runtime::{
@@ -78,7 +78,9 @@ fn bench_render_kernels(c: &mut Criterion) {
         b.iter(|| render_frame(&scene, &w2c, &ds.camera, None))
     });
 
-    let ctx = render_frame(&scene, &w2c, &ds.camera, None);
+    // Fragments are recorded once, outside the timed closure: the bench
+    // times the fused backward alone.
+    let ctx = render_frame_fused_with(&scene, &w2c, &ds.camera, None, &Serial);
     let loss = compute_loss(
         &ctx.output,
         &ds.frames[0].color,
@@ -86,16 +88,7 @@ fn bench_render_kernels(c: &mut Criterion) {
         &LossConfig::default(),
     );
     group.bench_function("backward_full_frame", |b| {
-        b.iter(|| {
-            backward(
-                &scene,
-                &ctx.projection,
-                &ctx.tiles,
-                &ds.camera,
-                &w2c,
-                &loss.pixel_grads,
-            )
-        })
+        b.iter(|| ctx.backward(&scene, &ds.camera, &w2c, &loss.pixel_grads, &Serial))
     });
     group.finish();
 }
@@ -119,7 +112,9 @@ fn bench_soa_vs_aos(c: &mut Criterion) {
         b.iter(|| reference::render_frame_aos(&scene, &w2c, &ds.camera, None))
     });
 
-    let ctx = render_frame(&scene, &w2c, &ds.camera, None);
+    // The SoA backward is the fused kernel, consuming fragments recorded
+    // outside the timed closure; the AoS backward re-walks every pixel.
+    let ctx = render_frame_fused_with(&scene, &w2c, &ds.camera, None, &Serial);
     let (aos_proj, aos_tiles, _) = reference::render_frame_aos(&scene, &w2c, &ds.camera, None);
     let loss = compute_loss(
         &ctx.output,
@@ -128,16 +123,7 @@ fn bench_soa_vs_aos(c: &mut Criterion) {
         &LossConfig::default(),
     );
     group.bench_function("backward/soa", |b| {
-        b.iter(|| {
-            backward(
-                &scene,
-                &ctx.projection,
-                &ctx.tiles,
-                &ds.camera,
-                &w2c,
-                &loss.pixel_grads,
-            )
-        })
+        b.iter(|| ctx.backward(&scene, &ds.camera, &w2c, &loss.pixel_grads, &Serial))
     });
     group.bench_function("backward/aos", |b| {
         b.iter(|| {
@@ -155,13 +141,12 @@ fn bench_soa_vs_aos(c: &mut Criterion) {
 }
 
 /// Fused tile pass: one render+backward iteration with the forward pass
-/// recording fragment sequences (backward consumes them) versus the unfused
-/// pair (backward re-walks every pixel's splat list).
+/// recording fragment sequences and the backward pass consuming them.
 ///
 /// Pixel gradients are dense (every pixel carries color and depth loss), as
 /// in a mid-optimization tracking/mapping iteration — the workload the
 /// fusion exists for; at the converged pose gradients vanish and the
-/// backward pass is free either way.
+/// backward pass is nearly free.
 fn bench_fused_tile_pass(c: &mut Criterion) {
     let mut group = c.benchmark_group("fused_tile_pass");
     group
@@ -172,8 +157,7 @@ fn bench_fused_tile_pass(c: &mut Criterion) {
     let w2c = ds.poses_c2w[0].inverse();
     let backend = Serial;
 
-    // Fixed dense upstream gradients so both variants time render +
-    // backward on identical, non-degenerate inputs.
+    // Fixed dense upstream gradients: non-degenerate backward inputs.
     let mut pixel_grads = rtgs_render::PixelGrads::zeros(ds.camera.width, ds.camera.height);
     for (i, g) in pixel_grads.color.iter_mut().enumerate() {
         *g = rtgs_math::Vec3::splat(1.0) * (((i % 13) as f32 - 6.0) * 0.1);
@@ -184,21 +168,6 @@ fn bench_fused_tile_pass(c: &mut Criterion) {
     let ctx = render_frame(&scene, &w2c, &ds.camera, None);
     let (projection, tiles) = (&ctx.projection, &ctx.tiles);
 
-    group.bench_function("render_backward/unfused", |b| {
-        b.iter(|| {
-            let output = render_with(projection, tiles, &ds.camera, &backend);
-            let grads = backward_with(
-                &scene,
-                projection,
-                tiles,
-                &ds.camera,
-                &w2c,
-                &pixel_grads,
-                &backend,
-            );
-            (output, grads)
-        })
-    });
     group.bench_function("render_backward/fused", |b| {
         b.iter(|| {
             let fused = render_fused_with(projection, tiles, &ds.camera, &backend);
@@ -368,21 +337,14 @@ fn bench_pruning_overhead(c: &mut Criterion) {
     let ds = small_dataset();
     let scene = ds.reference_scene.clone();
     let w2c = ds.poses_c2w[0].inverse();
-    let ctx = render_frame(&scene, &w2c, &ds.camera, None);
+    let ctx = render_frame_fused_with(&scene, &w2c, &ds.camera, None, &Serial);
     let loss = compute_loss(
         &ctx.output,
         &ds.frames[0].color,
         ds.frames[0].depth.as_ref(),
         &LossConfig::default(),
     );
-    let grads = backward(
-        &scene,
-        &ctx.projection,
-        &ctx.tiles,
-        &ds.camera,
-        &w2c,
-        &loss.pixel_grads,
-    );
+    let grads = ctx.backward(&scene, &ds.camera, &w2c, &loss.pixel_grads, &Serial);
 
     group.bench_function("importance_scoring", |b| {
         b.iter(|| {
@@ -639,7 +601,9 @@ fn bench_runtime_scaling(c: &mut Criterion) {
     let scene = ds.reference_scene.clone();
     let w2c = ds.poses_c2w[0].inverse();
 
-    let ctx = render_frame(&scene, &w2c, &ds.camera, None);
+    // Fragments are recorded once, outside the timed closures: `backward/*`
+    // times the fused backward alone.
+    let ctx = render_frame_fused_with(&scene, &w2c, &ds.camera, None, &Serial);
     let loss = compute_loss(
         &ctx.output,
         &ds.frames[0].color,
@@ -657,17 +621,7 @@ fn bench_runtime_scaling(c: &mut Criterion) {
             BenchmarkId::new("backward", &label),
             &backend,
             |b, backend| {
-                b.iter(|| {
-                    backward_with(
-                        &scene,
-                        &ctx.projection,
-                        &ctx.tiles,
-                        &ds.camera,
-                        &w2c,
-                        &loss.pixel_grads,
-                        &**backend,
-                    )
-                })
+                b.iter(|| ctx.backward(&scene, &ds.camera, &w2c, &loss.pixel_grads, &**backend))
             },
         );
     };

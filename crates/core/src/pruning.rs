@@ -227,9 +227,10 @@ mod tests {
     use super::*;
     use rtgs_math::{Quat, Se3, Vec3};
     use rtgs_render::{
-        backward, compute_loss, render_frame, Gaussian3d, GaussianScene, Image, LossConfig,
+        compute_loss, render_frame_fused_with, Gaussian3d, GaussianScene, Image, LossConfig,
         PinholeCamera,
     };
+    use rtgs_runtime::Serial;
 
     fn make_artifacts_scene() -> (GaussianScene, PinholeCamera) {
         let gaussians: Vec<Gaussian3d> = (0..12)
@@ -259,16 +260,9 @@ mod tests {
         let all_ids: Vec<u32> = (0..scene.len() as u32).collect();
         let gt = Image::from_data(32, 32, vec![Vec3::splat(0.3); 32 * 32]);
         for it in 0..iters {
-            let ctx = render_frame(&scene, &Se3::IDENTITY, &cam, Some(mask));
+            let ctx = render_frame_fused_with(&scene, &Se3::IDENTITY, &cam, Some(mask), &Serial);
             let loss = compute_loss(&ctx.output, &gt, None, &LossConfig::default());
-            let grads = backward(
-                &scene,
-                &ctx.projection,
-                &ctx.tiles,
-                &cam,
-                &Se3::IDENTITY,
-                &loss.pixel_grads,
-            );
+            let grads = ctx.backward(&scene, &cam, &Se3::IDENTITY, &loss.pixel_grads, &Serial);
             let artifacts = IterationArtifacts {
                 iteration: it,
                 loss: loss.loss,

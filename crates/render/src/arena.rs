@@ -248,7 +248,8 @@ impl FrameArena {
     ///
     /// # Panics
     ///
-    /// As for [`crate::backward_fused_with`].
+    /// As for [`crate::backward_fused_with`], or if no fused render
+    /// recorded fragments since the last unfused one.
     pub fn backward_fused(
         &mut self,
         scene: &GaussianScene,
@@ -256,27 +257,7 @@ impl FrameArena {
         w2c: &Se3,
         backend: &dyn Backend,
     ) {
-        assert!(
-            !self.fragments.tiles.is_empty() || self.tiles.tile_count() == 0,
-            "fragment cache is stale or missing (run render_fused first)"
-        );
-        assert_eq!(
-            self.fragments.tiles.len(),
-            self.tiles.tile_count(),
-            "fragment cache must cover the tile grid (run render_fused first)"
-        );
-        backward_into(
-            scene,
-            &self.projection,
-            &self.tiles,
-            camera,
-            w2c,
-            &self.loss.pixel_grads,
-            Some(&self.fragments),
-            backend,
-            &mut self.backward_scratch,
-            &mut self.backward,
-        );
+        self.backward_from_fragments(Some(scene), None, camera, w2c, backend);
     }
 
     /// [`Self::backward_fused`] over the arena's own cull result — the
@@ -287,35 +268,22 @@ impl FrameArena {
         w2c: &Se3,
         backend: &dyn Backend,
     ) {
-        assert!(
-            !self.fragments.tiles.is_empty() || self.tiles.tile_count() == 0,
-            "fragment cache is stale or missing (run render_fused first)"
-        );
-        assert_eq!(
-            self.fragments.tiles.len(),
-            self.tiles.tile_count(),
-            "fragment cache must cover the tile grid (run render_fused first)"
-        );
-        backward_into(
-            &self.visible.scene,
-            &self.projection,
-            &self.tiles,
-            camera,
-            w2c,
-            &self.loss.pixel_grads,
-            Some(&self.fragments),
-            backend,
-            &mut self.backward_scratch,
-            &mut self.backward,
-        );
+        self.backward_from_fragments(None, None, camera, w2c, backend);
     }
 
-    /// Steps ❹–❺ (re-walk variant) with explicit upstream gradients —
-    /// kept for equivalence testing against the fused path.
+    /// Re-walk Step-❹ entry point with explicit upstream gradients, kept as
+    /// a thin wrapper over the fused tile pass: re-records
+    /// [`Self::output`] and [`Self::fragments`] for the arena's current
+    /// projection and tiles with [`Self::render_fused`], then runs the
+    /// fused backward pass on `pixel_grads`.
     ///
     /// # Panics
     ///
-    /// As for [`crate::backward_with`].
+    /// As for [`crate::backward_fused_with`].
+    #[deprecated(
+        since = "0.2.0",
+        note = "use `FrameArena::render_fused` followed by `FrameArena::backward_fused` instead"
+    )]
     pub fn backward_rewalk(
         &mut self,
         scene: &GaussianScene,
@@ -324,14 +292,34 @@ impl FrameArena {
         pixel_grads: &PixelGrads,
         backend: &dyn Backend,
     ) {
+        self.render_fused(camera, backend);
+        self.backward_from_fragments(Some(scene), Some(pixel_grads), camera, w2c, backend);
+    }
+
+    /// The one body behind every backward entry point: `scene` defaults to
+    /// the arena's cull result and `pixel_grads` to the last loss's
+    /// gradients (only the deprecated [`Self::backward_rewalk`] passes its
+    /// own).
+    fn backward_from_fragments(
+        &mut self,
+        scene: Option<&GaussianScene>,
+        pixel_grads: Option<&PixelGrads>,
+        camera: &PinholeCamera,
+        w2c: &Se3,
+        backend: &dyn Backend,
+    ) {
+        assert!(
+            !self.fragments.tiles.is_empty() || self.tiles.tile_count() == 0,
+            "fragment cache is stale or missing (run render_fused first)"
+        );
         backward_into(
-            scene,
+            scene.unwrap_or(&self.visible.scene),
             &self.projection,
             &self.tiles,
             camera,
             w2c,
-            pixel_grads,
-            None,
+            pixel_grads.unwrap_or(&self.loss.pixel_grads),
+            &self.fragments,
             backend,
             &mut self.backward_scratch,
             &mut self.backward,

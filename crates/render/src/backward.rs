@@ -6,25 +6,24 @@
 //! accelerates in hardware). Step ❺ chains 2D gradients to the 3D Gaussian
 //! parameters and — during tracking — to the camera pose tangent.
 //!
-//! Two Step-❹ drivers share all surrounding machinery:
-//!
-//! * [`backward_with`] mirrors the reference CUDA rasterizer: each pixel's
-//!   fragment list is re-walked in forward order (recomputing alpha and
-//!   transmittance from the SoA splat arrays), then the reverse recursion of
-//!   Eq. 4 runs with suffix accumulators.
-//! * [`backward_fused_with`] consumes the fragment records a fused forward
-//!   pass ([`crate::render_fused_with`]) cached — the re-walk disappears and
-//!   forward + backward share one tile traversal. Because the cache holds
-//!   exactly the values the re-walk would recompute, the gradients are
-//!   bitwise-identical.
+//! Step ❹ has one driver, [`backward_fused_with`] (and its arena form
+//! behind [`crate::FrameArena::backward_fused`]): it consumes the fragment
+//! records a fused forward pass ([`crate::render_fused_with`]) cached, so
+//! forward and backward share one tile traversal — the software analog of
+//! the paper's Rendering & Backpropagation Buffer. The reverse recursion of
+//! Eq. 4 runs over each pixel's cached fragments with suffix accumulators.
+//! The seed's re-walk (each pixel's splat list walked again in forward
+//! order, alpha and transmittance recomputed) survives only in the AoS
+//! oracle [`crate::reference::backward_aos`], which the fused kernel
+//! matches bit for bit.
 //!
 //! Analytic gradients are verified against central finite differences in
 //! `tests/grad_check.rs`.
 
 use crate::camera::PinholeCamera;
 use crate::forward::{
-    fragment_alpha_fast, gather_tile, pixel_center, FragmentCache, TileSplat, ALPHA_MAX,
-    TERMINATION_THRESHOLD,
+    gather_tile, pixel_center, render_fused_with, CachedFragment, FragmentCache, TileFragments,
+    TileSplat, ALPHA_MAX,
 };
 use crate::gaussian::{GaussianGrad, GaussianScene};
 use crate::project::{jacobian_with_clamp, Projected2d, Projection};
@@ -165,29 +164,19 @@ pub(crate) struct TilePartial {
     pub(crate) accum: Vec<Accum2d>,
     /// Fragment-level gradient events in this tile.
     pub(crate) events: u64,
-    /// Re-walk scratch of the unfused driver (one pixel's reconstructed
-    /// fragment sequence); kept here so its capacity survives reuse.
-    pub(crate) rewalk: Vec<FragmentRecord>,
 }
 
-/// One recomputed fragment during the backward re-walk.
-pub(crate) struct FragmentRecord {
-    /// Position of the splat in the tile's list (indexes the gathered
-    /// working set and the tile partial).
-    list_pos: usize,
-    alpha: f32,
-    weight: f32,
-    t_before: f32,
-}
-
-/// Runs Steps ❹ and ❺: computes gradients of the loss with respect to all
-/// Gaussian parameters and the camera pose.
-///
-/// `pixel_grads` must match the camera resolution.
+/// Re-walk Step-❹ entry point, kept as a thin wrapper over the fused tile
+/// pass: records fragments for `(projection, tiles, camera)` with the one
+/// forward kernel, then runs [`backward_fused_with`] serially.
 ///
 /// # Panics
 ///
 /// Panics if the gradient buffers do not match `camera`'s pixel count.
+#[deprecated(
+    since = "0.2.0",
+    note = "use `rtgs_render::render_frame_fused_with(..).backward(..)`, or `FrameArena::render_fused` followed by `FrameArena::backward_fused`, instead"
+)]
 pub fn backward(
     scene: &GaussianScene,
     projection: &Projection,
@@ -196,23 +185,20 @@ pub fn backward(
     w2c: &Se3,
     pixel_grads: &PixelGrads,
 ) -> BackwardOutput {
+    #[allow(deprecated)]
     backward_with(scene, projection, tiles, camera, w2c, pixel_grads, &Serial)
 }
 
-/// [`backward`] on an explicit execution backend.
-///
-/// Step ❹ runs chunked over tiles: each tile accumulates gradients into its
-/// own `TilePartial` and the calling thread folds the partials in tile
-/// order (the software analog of the paper's GMU gradient merging — the
-/// atomic-add contention of Observation 4 is what this structure removes).
-/// Step ❺ runs chunked over Gaussians with per-chunk pose-tangent partials
-/// folded in chunk order. Both reduction trees are fixed by constants
-/// (`BP_TILE_CHUNK`, `BP_GAUSS_CHUNK`) rather than the worker count, so
-/// gradients are bitwise-identical on every backend and pool size.
+/// [`backward`] on an explicit execution backend: records fragments with
+/// [`crate::render_fused_with`], then runs [`backward_fused_with`].
 ///
 /// # Panics
 ///
 /// Panics if the gradient buffers do not match `camera`'s pixel count.
+#[deprecated(
+    since = "0.2.0",
+    note = "use `rtgs_render::render_frame_fused_with(..).backward(..)`, or `FrameArena::render_fused` followed by `FrameArena::backward_fused`, instead"
+)]
 pub fn backward_with(
     scene: &GaussianScene,
     projection: &Projection,
@@ -222,26 +208,39 @@ pub fn backward_with(
     pixel_grads: &PixelGrads,
     backend: &dyn Backend,
 ) -> BackwardOutput {
-    backward_impl(
+    let fused = render_fused_with(projection, tiles, camera, backend);
+    backward_fused_with(
         scene,
         projection,
         tiles,
         camera,
         w2c,
         pixel_grads,
-        None,
+        &fused.fragments,
         backend,
     )
 }
 
-/// [`backward_with`] consuming the fragment records of a fused forward pass
-/// instead of re-walking each pixel's splat list.
+/// Runs Steps ❹ and ❺: computes gradients of the loss with respect to all
+/// Gaussian parameters and the camera pose, consuming the fragment records
+/// a fused forward pass cached instead of re-walking each pixel's splat
+/// list.
 ///
 /// `fragments` must come from [`crate::render_fused_with`] over the same
 /// `(projection, tiles, camera)` triple. The cached records hold exactly
-/// the values the re-walk recomputes (fragment order, alpha, Gaussian
+/// the values a re-walk would recompute (fragment order, alpha, Gaussian
 /// weight, incoming transmittance), so the output is bitwise-identical to
-/// [`backward_with`] — property-tested in `tests/soa_equivalence.rs`.
+/// the AoS re-walk oracle [`crate::reference::backward_aos`] —
+/// property-tested in `tests/soa_equivalence.rs`.
+///
+/// Step ❹ runs chunked over tiles: each tile accumulates gradients into its
+/// own `TilePartial` and the calling thread folds the partials in tile
+/// order (the software analog of the paper's GMU gradient merging — the
+/// atomic-add contention of Observation 4 is what this structure removes).
+/// Step ❺ runs chunked over Gaussians with per-chunk pose-tangent partials
+/// folded in chunk order. Both reduction trees are fixed by constants
+/// (`BP_TILE_CHUNK`, `BP_GAUSS_CHUNK`) rather than the worker count, so
+/// gradients are bitwise-identical on every backend and pool size.
 ///
 /// # Panics
 ///
@@ -256,34 +255,6 @@ pub fn backward_fused_with(
     w2c: &Se3,
     pixel_grads: &PixelGrads,
     fragments: &FragmentCache,
-    backend: &dyn Backend,
-) -> BackwardOutput {
-    assert_eq!(
-        fragments.tiles.len(),
-        tiles.tile_count(),
-        "fragment cache must cover the tile grid"
-    );
-    backward_impl(
-        scene,
-        projection,
-        tiles,
-        camera,
-        w2c,
-        pixel_grads,
-        Some(fragments),
-        backend,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn backward_impl(
-    scene: &GaussianScene,
-    projection: &Projection,
-    tiles: &TileAssignment,
-    camera: &PinholeCamera,
-    w2c: &Se3,
-    pixel_grads: &PixelGrads,
-    fragments: Option<&FragmentCache>,
     backend: &dyn Backend,
 ) -> BackwardOutput {
     let mut ws = BackwardScratch::default();
@@ -303,7 +274,7 @@ fn backward_impl(
     out
 }
 
-/// [`backward_impl`] writing into caller-owned storage — the
+/// [`backward_fused_with`] writing into caller-owned storage — the
 /// zero-allocation path. The workspace and the output gradient buffer are
 /// cleared and refilled; once their capacities cover the frame, a
 /// steady-state backward pass performs **no heap allocation**. Results are
@@ -316,7 +287,7 @@ pub(crate) fn backward_into(
     camera: &PinholeCamera,
     w2c: &Se3,
     pixel_grads: &PixelGrads,
-    fragments: Option<&FragmentCache>,
+    fragments: &FragmentCache,
     backend: &dyn Backend,
     ws: &mut BackwardScratch,
     out: &mut BackwardOutput,
@@ -324,7 +295,11 @@ pub(crate) fn backward_into(
     assert_eq!(pixel_grads.color.len(), camera.pixel_count());
     assert_eq!(pixel_grads.depth.len(), camera.pixel_count());
     assert_eq!(pixel_grads.transmittance.len(), camera.pixel_count());
-
+    assert_eq!(
+        fragments.tiles.len(),
+        tiles.tile_count(),
+        "fragment cache must cover the tile grid"
+    );
     let mut stats = BackwardStats::default();
     let t_start = std::time::Instant::now();
 
@@ -343,27 +318,16 @@ pub(crate) fn backward_into(
             for tile in range {
                 // SAFETY: one partial slot per tile.
                 let partial = unsafe { partial_view.get_mut(tile) };
-                match fragments {
-                    Some(cache) => backward_tile_fused(
-                        tile,
-                        projection,
-                        tiles,
-                        camera,
-                        pixel_grads,
-                        &cache.tiles[tile],
-                        &mut gathered,
-                        partial,
-                    ),
-                    None => backward_tile(
-                        tile,
-                        projection,
-                        tiles,
-                        camera,
-                        pixel_grads,
-                        &mut gathered,
-                        partial,
-                    ),
-                }
+                backward_tile(
+                    tile,
+                    projection,
+                    tiles,
+                    camera,
+                    pixel_grads,
+                    &fragments.tiles[tile],
+                    &mut gathered,
+                    partial,
+                );
             }
             pool.put(gathered);
         });
@@ -447,8 +411,8 @@ pub(crate) fn backward_into(
     out.stats = stats;
 }
 
-/// Step ❹ for one tile (re-walk variant): reconstructs every pixel's
-/// fragment sequence from the gathered SoA working set and accumulates
+/// Step ❹ for one tile: consumes the fragment records the fused forward
+/// pass cached — no re-walk, no alpha recomputation — and accumulates
 /// per-Gaussian 2D gradients into the tile's (reused) partial.
 #[allow(clippy::too_many_arguments)]
 fn backward_tile(
@@ -457,85 +421,7 @@ fn backward_tile(
     tiles: &TileAssignment,
     camera: &PinholeCamera,
     pixel_grads: &PixelGrads,
-    gathered: &mut Vec<TileSplat>,
-    partial: &mut TilePartial,
-) {
-    partial.events = 0;
-    partial.accum.clear();
-    let list = tiles.tile(tile);
-    if list.is_empty() {
-        return;
-    }
-    gather_tile(&projection.soa, list, gathered);
-    let (tx, ty) = (tile % tiles.tiles_x, tile / tiles.tiles_x);
-    let (x0, y0, x1, y1) = tiles.tile_pixel_rect(tx, ty, camera);
-    let mut touched = false;
-
-    for y in y0..y1 {
-        for x in x0..x1 {
-            let idx = y * camera.width + x;
-            let g_color = pixel_grads.color[idx];
-            let g_depth = pixel_grads.depth[idx];
-            let g_trans = pixel_grads.transmittance[idx];
-            if g_color == Vec3::ZERO && g_depth == 0.0 && g_trans == 0.0 {
-                continue;
-            }
-            if !touched {
-                touched = true;
-                partial.accum.resize(list.len(), Accum2d::default());
-            }
-            let p = pixel_center(x, y);
-
-            // Re-walk forward to reconstruct the fragment sequence.
-            partial.rewalk.clear();
-            let mut t = 1.0f32;
-            for (pos, s) in gathered.iter().enumerate() {
-                let Some((alpha, weight)) = fragment_alpha_fast(s, p) else {
-                    continue;
-                };
-                partial.rewalk.push(FragmentRecord {
-                    list_pos: pos,
-                    alpha,
-                    weight,
-                    t_before: t,
-                });
-                t *= 1.0 - alpha;
-                if t < TERMINATION_THRESHOLD {
-                    break;
-                }
-            }
-
-            // `t` now holds the pixel's final transmittance. The rewalk
-            // records are moved out of the partial for the recursion's
-            // split borrow and swapped back after (both are O(1)).
-            let records = std::mem::take(&mut partial.rewalk);
-            reverse_recursion(
-                gathered,
-                partial,
-                p,
-                t,
-                g_color,
-                g_depth,
-                g_trans,
-                records
-                    .iter()
-                    .map(|f| (f.list_pos, f.alpha, f.weight, f.t_before)),
-            );
-            partial.rewalk = records;
-        }
-    }
-}
-
-/// Step ❹ for one tile (fused variant): consumes the fragment records the
-/// fused forward pass cached — no re-walk, no alpha recomputation.
-#[allow(clippy::too_many_arguments)]
-fn backward_tile_fused(
-    tile: usize,
-    projection: &Projection,
-    tiles: &TileAssignment,
-    camera: &PinholeCamera,
-    pixel_grads: &PixelGrads,
-    cached: &crate::forward::TileFragments,
+    cached: &TileFragments,
     gathered: &mut Vec<TileSplat>,
     partial: &mut TilePartial,
 ) {
@@ -573,27 +459,16 @@ fn backward_tile_fused(
                 .map(|f| f.t_before * (1.0 - f.alpha))
                 .unwrap_or(1.0);
             reverse_recursion(
-                gathered,
-                partial,
-                p,
-                t_final,
-                g_color,
-                g_depth,
-                g_trans,
-                frags
-                    .iter()
-                    .map(|f| (f.list_pos as usize, f.alpha, f.weight, f.t_before)),
+                gathered, partial, p, t_final, g_color, g_depth, g_trans, frags,
             );
         }
     }
 }
 
 /// The reverse recursion of Eq. 4 with suffix accumulators, over one pixel's
-/// fragment sequence `(list_pos, alpha, weight, t_before)` given in forward
-/// order. Shared between the re-walk and fused Step-❹ drivers so both run
-/// the identical floating-point program.
+/// cached fragment sequence (given in forward order).
 #[allow(clippy::too_many_arguments)]
-fn reverse_recursion<I>(
+fn reverse_recursion(
     gathered: &[TileSplat],
     partial: &mut TilePartial,
     p: Vec2,
@@ -601,13 +476,12 @@ fn reverse_recursion<I>(
     g_color: Vec3,
     g_depth: f32,
     g_trans: f32,
-    fragments: I,
-) where
-    I: Iterator<Item = (usize, f32, f32, f32)> + DoubleEndedIterator,
-{
+    fragments: &[CachedFragment],
+) {
     let mut suffix_color = Vec3::ZERO;
     let mut suffix_depth = 0.0f32;
-    for (list_pos, alpha, weight, t_k) in fragments.rev() {
+    for f in fragments.iter().rev() {
+        let (list_pos, alpha, weight, t_k) = (f.list_pos as usize, f.alpha, f.weight, f.t_before);
         let s = &gathered[list_pos];
         let w = t_k * alpha;
         let one_minus = 1.0 - alpha;
@@ -810,7 +684,7 @@ fn quat_backward(q_raw: rtgs_math::Quat, dl_dr: &Mat3) -> [f32; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forward::{render, render_fused};
+    use crate::forward::render_fused;
     use crate::gaussian::Gaussian3d;
     use crate::project::project_scene;
     use rtgs_math::Quat;
@@ -819,11 +693,30 @@ mod tests {
         PinholeCamera::from_fov(32, 32, 1.2)
     }
 
-    fn setup(scene: &GaussianScene) -> (Projection, TileAssignment) {
+    /// Projects `scene` (under an optional active mask), records fragments
+    /// with the fused forward pass and runs the fused backward pass.
+    fn run(scene: &GaussianScene, active: Option<&[bool]>, grads: &PixelGrads) -> BackwardOutput {
         let cam = camera();
-        let proj = project_scene(scene, &Se3::IDENTITY, &cam, None);
+        let proj = project_scene(scene, &Se3::IDENTITY, &cam, active);
         let tiles = TileAssignment::build(&proj, &cam);
-        (proj, tiles)
+        let fused = render_fused(&proj, &tiles, &cam);
+        backward_fused_with(
+            scene,
+            &proj,
+            &tiles,
+            &cam,
+            &Se3::IDENTITY,
+            grads,
+            &fused.fragments,
+            &Serial,
+        )
+    }
+
+    fn uniform_color_grads(g: Vec3) -> PixelGrads {
+        let cam = camera();
+        let mut grads = PixelGrads::zeros(cam.width, cam.height);
+        grads.color.fill(g);
+        grads
     }
 
     fn one_gaussian_scene() -> GaussianScene {
@@ -839,10 +732,8 @@ mod tests {
     #[test]
     fn zero_pixel_grads_produce_zero_output() {
         let scene = one_gaussian_scene();
-        let (proj, tiles) = setup(&scene);
         let cam = camera();
-        let grads = PixelGrads::zeros(cam.width, cam.height);
-        let out = backward(&scene, &proj, &tiles, &cam, &Se3::IDENTITY, &grads);
+        let out = run(&scene, None, &PixelGrads::zeros(cam.width, cam.height));
         assert_eq!(out.pose, [0.0; 6]);
         assert_eq!(out.gaussians[0].position, Vec3::ZERO);
         assert_eq!(out.stats.fragment_grad_events, 0);
@@ -851,17 +742,18 @@ mod tests {
     #[test]
     fn color_gradient_is_positive_where_gaussian_renders() {
         let scene = one_gaussian_scene();
-        let (proj, tiles) = setup(&scene);
         let cam = camera();
-        let fwd = render(&proj, &tiles, &cam);
+        let proj = project_scene(&scene, &Se3::IDENTITY, &cam, None);
+        let tiles = TileAssignment::build(&proj, &cam);
+        let fwd = render_fused(&proj, &tiles, &cam);
         // dL/dC = 1 everywhere the Gaussian contributed.
         let mut grads = PixelGrads::zeros(cam.width, cam.height);
-        for (i, c) in fwd.image.data().iter().enumerate() {
+        for (i, c) in fwd.output.image.data().iter().enumerate() {
             if c.x > 0.0 {
                 grads.color[i] = Vec3::splat(1.0);
             }
         }
-        let out = backward(&scene, &proj, &tiles, &cam, &Se3::IDENTITY, &grads);
+        let out = run(&scene, None, &grads);
         // Increasing the color increases the output everywhere it renders.
         assert!(out.gaussians[0].color.x > 0.0);
         assert!(out.stats.gaussians_touched == 1);
@@ -873,13 +765,7 @@ mod tests {
         // If dL/dC is positive and the Gaussian is the only contributor,
         // raising opacity raises C, so dL/d(opacity) must be positive.
         let scene = one_gaussian_scene();
-        let (proj, tiles) = setup(&scene);
-        let cam = camera();
-        let mut grads = PixelGrads::zeros(cam.width, cam.height);
-        for g in &mut grads.color {
-            *g = Vec3::splat(1.0);
-        }
-        let out = backward(&scene, &proj, &tiles, &cam, &Se3::IDENTITY, &grads);
+        let out = run(&scene, None, &uniform_color_grads(Vec3::splat(1.0)));
         assert!(out.gaussians[0].opacity > 0.0);
     }
 
@@ -888,14 +774,11 @@ mod tests {
         let mut gaussians = one_gaussian_scene().gaussians;
         gaussians.push(gaussians[0]);
         let scene = GaussianScene::from_gaussians(gaussians);
-        let cam = camera();
-        let proj = project_scene(&scene, &Se3::IDENTITY, &cam, Some(&[true, false]));
-        let tiles = TileAssignment::build(&proj, &cam);
-        let mut grads = PixelGrads::zeros(cam.width, cam.height);
-        for g in &mut grads.color {
-            *g = Vec3::splat(1.0);
-        }
-        let out = backward(&scene, &proj, &tiles, &cam, &Se3::IDENTITY, &grads);
+        let out = run(
+            &scene,
+            Some(&[true, false]),
+            &uniform_color_grads(Vec3::splat(1.0)),
+        );
         assert!(out.gaussians[0].color.norm() > 0.0);
         assert_eq!(out.gaussians[1].color, Vec3::ZERO);
     }
@@ -903,59 +786,32 @@ mod tests {
     #[test]
     fn cov_frobenius_recorded_for_importance_score() {
         let scene = one_gaussian_scene();
-        let (proj, tiles) = setup(&scene);
-        let cam = camera();
-        let mut grads = PixelGrads::zeros(cam.width, cam.height);
-        for g in &mut grads.color {
-            *g = Vec3::new(1.0, -0.5, 0.25);
-        }
-        let out = backward(&scene, &proj, &tiles, &cam, &Se3::IDENTITY, &grads);
+        let out = run(
+            &scene,
+            None,
+            &uniform_color_grads(Vec3::new(1.0, -0.5, 0.25)),
+        );
         assert!(out.gaussians[0].cov_frobenius > 0.0);
         assert!(out.gaussians[0].importance_score(0.8) > 0.0);
     }
 
     #[test]
-    fn fused_backward_matches_rewalk_bitwise() {
-        let scene = GaussianScene::from_gaussians(vec![
-            one_gaussian_scene().gaussians[0],
-            Gaussian3d::from_activated(
-                Vec3::new(0.3, -0.2, 3.0),
-                Vec3::splat(0.8),
-                Quat::IDENTITY,
-                0.8,
-                Vec3::new(0.1, 0.9, 0.4),
-            ),
-        ]);
-        let (proj, tiles) = setup(&scene);
+    #[should_panic(expected = "fragment cache must cover the tile grid")]
+    fn fragments_from_another_grid_are_rejected() {
+        let scene = one_gaussian_scene();
         let cam = camera();
-        let fused = render_fused(&proj, &tiles, &cam);
-        let mut grads = PixelGrads::zeros(cam.width, cam.height);
-        for (i, g) in grads.color.iter_mut().enumerate() {
-            *g = Vec3::new(1.0, -0.5, 0.25) * ((i % 7) as f32 - 3.0);
-        }
-        for (i, g) in grads.depth.iter_mut().enumerate() {
-            *g = ((i % 5) as f32 - 2.0) * 0.1;
-        }
-        let rewalk = backward_with(&scene, &proj, &tiles, &cam, &Se3::IDENTITY, &grads, &Serial);
-        let fused_out = backward_fused_with(
+        let proj = project_scene(&scene, &Se3::IDENTITY, &cam, None);
+        let tiles = TileAssignment::build(&proj, &cam);
+        let grads = PixelGrads::zeros(cam.width, cam.height);
+        backward_fused_with(
             &scene,
             &proj,
             &tiles,
             &cam,
             &Se3::IDENTITY,
             &grads,
-            &fused.fragments,
+            &FragmentCache::default(),
             &Serial,
-        );
-        assert_eq!(rewalk.gaussians, fused_out.gaussians);
-        assert_eq!(rewalk.pose, fused_out.pose);
-        assert_eq!(
-            rewalk.stats.fragment_grad_events,
-            fused_out.stats.fragment_grad_events
-        );
-        assert_eq!(
-            rewalk.stats.gaussians_touched,
-            fused_out.stats.gaussians_touched
         );
     }
 }

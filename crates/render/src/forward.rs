@@ -301,8 +301,8 @@ pub fn render_fused(
 /// The blend math is the same monomorphized kernel as [`render_with`] —
 /// recording only copies values the blend already computed — so the
 /// [`RenderOutput`] is bitwise-identical to the unfused pass, and the
-/// cached fragments are bitwise-identical to what a backward re-walk would
-/// reconstruct.
+/// cached fragments are bitwise-identical to what the AoS oracle's backward
+/// re-walk ([`crate::reference::backward_aos`]) reconstructs.
 pub fn render_fused_with(
     projection: &Projection,
     tiles: &TileAssignment,

@@ -12,25 +12,28 @@
 //!    with early ray termination (Eqs. 2–3), streaming a per-tile gathered
 //!    working set. The fused variant ([`render_fused`]) also records every
 //!    pixel's fragment sequence for step 4.
-//! 4. **Rendering BP** ([`backward`]) — loss gradients to per-Gaussian 2D
-//!    gradients (Eq. 4); [`backward_fused_with`] consumes the fused
-//!    forward's fragment records instead of re-walking the splat lists.
-//! 5. **Preprocessing BP** (also in [`backward`]) — 2D gradients to 3D
-//!    parameter gradients and the camera-pose tangent.
+//! 4. **Rendering BP** ([`backward_fused_with`]) — loss gradients to
+//!    per-Gaussian 2D gradients (Eq. 4), consuming the fused forward's
+//!    fragment records: forward and backward share one tile traversal, and
+//!    this is the only Step-❹ kernel.
+//! 5. **Preprocessing BP** (also in [`backward_fused_with`]) — 2D gradients
+//!    to 3D parameter gradients and the camera-pose tangent.
 //!
-//! The seed's array-of-structs path survives in [`mod@reference`] as the bitwise
-//! ground truth; `tests/soa_equivalence.rs` proves AoS == SoA == fused, bit
-//! for bit, over random scenes. The analytic backward pass is verified
-//! against finite differences in `tests/grad_check.rs`.
+//! The seed's array-of-structs path — including the backward re-walk of
+//! every pixel's splat list — survives in [`mod@reference`] as the bitwise
+//! ground truth; `tests/soa_equivalence.rs` proves AoS == fused, bit for
+//! bit, over random scenes. The analytic backward pass is verified against
+//! finite differences in `tests/grad_check.rs`.
 //!
 //! # Example
 //!
 //! ```
 //! use rtgs_render::{
-//!     project_scene, render, backward, compute_loss, Gaussian3d, GaussianScene,
-//!     Image, LossConfig, PinholeCamera, TileAssignment,
+//!     backward_fused_with, compute_loss, project_scene, render_fused, Gaussian3d,
+//!     GaussianScene, Image, LossConfig, PinholeCamera, TileAssignment,
 //! };
 //! use rtgs_math::{Quat, Se3, Vec3};
+//! use rtgs_runtime::Serial;
 //!
 //! let scene = GaussianScene::from_gaussians(vec![Gaussian3d::from_activated(
 //!     Vec3::new(0.0, 0.0, 2.0),
@@ -44,11 +47,21 @@
 //!
 //! let projection = project_scene(&scene, &pose, &camera, None);
 //! let tiles = TileAssignment::build(&projection, &camera);
-//! let output = render(&projection, &tiles, &camera);
+//! // The fused render records each pixel's fragments for the backward pass.
+//! let fused = render_fused(&projection, &tiles, &camera);
 //!
 //! let gt = Image::new(64, 48); // all black target
-//! let loss = compute_loss(&output, &gt, None, &LossConfig::default());
-//! let grads = backward(&scene, &projection, &tiles, &camera, &pose, &loss.pixel_grads);
+//! let loss = compute_loss(&fused.output, &gt, None, &LossConfig::default());
+//! let grads = backward_fused_with(
+//!     &scene,
+//!     &projection,
+//!     &tiles,
+//!     &camera,
+//!     &pose,
+//!     &loss.pixel_grads,
+//!     &fused.fragments,
+//!     &Serial,
+//! );
 //! assert_eq!(grads.gaussians.len(), scene.len());
 //! ```
 
@@ -65,9 +78,9 @@ mod tiles;
 mod trace;
 
 pub use arena::FrameArena;
-pub use backward::{
-    backward, backward_fused_with, backward_with, BackwardOutput, BackwardStats, PixelGrads,
-};
+#[allow(deprecated)] // re-exported until the deprecation window closes
+pub use backward::{backward, backward_with};
+pub use backward::{backward_fused_with, BackwardOutput, BackwardStats, PixelGrads};
 pub use camera::{DepthImage, Image, PinholeCamera};
 pub use forward::{
     render, render_fused, render_fused_with, render_with, CachedFragment, FragmentCache,
@@ -105,8 +118,8 @@ pub struct ForwardContext {
 }
 
 /// A [`ForwardContext`] from a *fused* forward pass: additionally carries
-/// the per-pixel fragment records so [`backward_fused_with`] can skip the
-/// backward re-walk — forward and backward share one tile traversal.
+/// the per-pixel fragment records [`backward_fused_with`] consumes —
+/// forward and backward share one tile traversal.
 #[derive(Debug, Clone)]
 pub struct FusedContext {
     /// Projected splats (SoA).
@@ -179,9 +192,9 @@ pub fn render_frame_with(
 }
 
 /// [`render_frame_with`], fused: the render additionally records the
-/// per-pixel fragment sequences so a subsequent [`backward_fused_with`]
-/// (or [`FusedContext::backward`]) skips the fragment re-walk. Output is
-/// bitwise-identical to the unfused path at any pool size.
+/// per-pixel fragment sequences a subsequent [`FusedContext::backward`]
+/// (or [`backward_fused_with`]) consumes. The forward output is
+/// bitwise-identical to [`render_frame_with`] at any pool size.
 pub fn render_frame_fused_with(
     scene: &GaussianScene,
     w2c: &rtgs_math::Se3,

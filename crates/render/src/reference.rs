@@ -5,14 +5,17 @@
 //! fuses the forward blend with the backward pass's transmittance
 //! bookkeeping (see [`crate::ProjectedSoA`] and [`crate::render_fused_with`]).
 //! This module keeps the original per-Gaussian path — `Vec<Option<Projected2d>>`
-//! storage, Gaussian-ID tile lists, per-pixel Option-checked fragment walks —
-//! so that:
+//! storage, Gaussian-ID tile lists, per-pixel Option-checked fragment walks,
+//! and a backward pass that re-walks every pixel's splat list to recompute
+//! alpha and transmittance — so that:
 //!
 //! * property tests (`tests/soa_equivalence.rs`) can assert that images,
-//!   depth maps and gradients are **bitwise-identical** between the two
-//!   layouts over random scenes, and
+//!   depth maps and gradients are **bitwise-identical** between this oracle
+//!   and the production fused tile pass (the only Step-❹ kernel) over
+//!   random scenes, and
 //! * the `soa_vs_aos` benchmark group can keep measuring what the refactor
-//!   actually buys.
+//!   actually buys; [`backward_aos`] is also where the unfused
+//!   (re-walk) Rendering-BP cost of the paper's Fig. 3b split can be timed.
 //!
 //! Everything here runs serially: it is a correctness oracle, not a fast
 //! path.

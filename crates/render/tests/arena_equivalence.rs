@@ -11,39 +11,22 @@
 //! 2. **arena == fresh across interleavings** — one arena driven through a
 //!    randomized sequence of (scene, camera, mask) cases reproduces the
 //!    fresh-allocation pipeline bitwise at every step, for the plain
-//!    forward, fused forward, and both backward drivers. Buffer reuse
+//!    forward, fused forward, and fused backward. Buffer reuse
 //!    (stale capacities, stale contents from an unrelated frame) must
 //!    never leak into results.
 //! 3. **arena == fresh at pool sizes 1–8** — the arena path on `Parallel`
 //!    backends reproduces the serial fresh path bitwise.
 
+mod support;
+
 use proptest::prelude::*;
-use rtgs_math::{Quat, Se3, Vec3};
+use rtgs_math::{Se3, Vec3};
 use rtgs_render::{
-    backward_with, build_tile_lists_legacy, compute_loss, render_frame_fused_with,
-    render_frame_with, FrameArena, Gaussian3d, GaussianScene, Image, LossConfig, PinholeCamera,
-    PixelGrads,
+    build_tile_lists_legacy, render_frame_fused_with, render_frame_with, FrameArena, GaussianScene,
+    Image, LossConfig, PinholeCamera,
 };
 use rtgs_runtime::{Parallel, Serial};
-
-fn arb_gaussian() -> impl Strategy<Value = Gaussian3d> {
-    (
-        (-0.9f32..0.9, -0.7f32..0.7, 0.4f32..5.0),
-        (0.02f32..0.6),
-        (-1.0f32..1.0, -1.0f32..1.0, -1.0f32..1.0, -2.0f32..2.0),
-        0.05f32..0.98,
-        (0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0),
-    )
-        .prop_map(|((x, y, z), s, (ax, ay, az, angle), o, (r, g, b))| {
-            Gaussian3d::from_activated(
-                Vec3::new(x, y, z),
-                Vec3::splat(s),
-                Quat::from_axis_angle(Vec3::new(ax, ay, az + 0.1), angle),
-                o,
-                Vec3::new(r, g, b),
-            )
-        })
-}
+use support::{arb_gaussian, pixel_grads_from};
 
 /// One pipeline case: a scene, a pose, a camera size and an active mask.
 #[derive(Debug, Clone)]
@@ -79,13 +62,6 @@ fn arb_case() -> impl Strategy<Value = Case> {
         })
 }
 
-/// Dense, non-trivial pixel gradients from the rendered image.
-fn pixel_grads_from(output: &rtgs_render::RenderOutput, cam: &PinholeCamera) -> PixelGrads {
-    let gt = Image::new(cam.width, cam.height);
-    let loss = compute_loss(output, &gt, None, &LossConfig::default());
-    loss.pixel_grads
-}
-
 /// Asserts the arena's current stage results equal the fresh pipeline's,
 /// for one case on one backend.
 fn check_case(arena: &mut FrameArena, case: &Case, backend: &dyn rtgs_runtime::Backend) {
@@ -102,16 +78,8 @@ fn check_case(arena: &mut FrameArena, case: &Case, backend: &dyn rtgs_runtime::B
     let fresh = render_frame_with(scene, pose, camera, mask_ref, &Serial);
     let fused = render_frame_fused_with(scene, pose, camera, mask_ref, &Serial);
     let legacy_lists = build_tile_lists_legacy(&fresh.projection, camera);
-    let grads = pixel_grads_from(&fresh.output, camera);
-    let back = backward_with(
-        scene,
-        &fresh.projection,
-        &fresh.tiles,
-        camera,
-        pose,
-        &grads,
-        &Serial,
-    );
+    let grads = pixel_grads_from(&fused.output, camera);
+    let fused_back = fused.backward(scene, camera, pose, &grads, &Serial);
 
     // Contract 1: CSR + radix matches the legacy stable per-tile sort.
     assert_eq!(legacy_lists.len(), fresh.tiles.tile_count());
@@ -136,19 +104,6 @@ fn check_case(arena: &mut FrameArena, case: &Case, backend: &dyn rtgs_runtime::B
     assert_eq!(arena.output().pixel_workloads, fresh.output.pixel_workloads);
     assert_eq!(arena.output().stats, fresh.output.stats);
 
-    // Re-walk backward on arena storage.
-    arena.backward_rewalk(scene, camera, pose, &grads, backend);
-    assert_eq!(arena.backward().gaussians, back.gaussians);
-    assert_eq!(arena.backward().pose, back.pose);
-    assert_eq!(
-        arena.backward().stats.fragment_grad_events,
-        back.stats.fragment_grad_events
-    );
-    assert_eq!(
-        arena.backward().stats.gaussians_touched,
-        back.stats.gaussians_touched
-    );
-
     // Fused forward + fused backward on arena storage.
     arena.render_fused(camera, backend);
     assert_eq!(arena.output().image, fused.output.image);
@@ -158,10 +113,18 @@ fn check_case(arena: &mut FrameArena, case: &Case, backend: &dyn rtgs_runtime::B
     );
     let gt = Image::new(camera.width, camera.height);
     arena.compute_loss(&gt, None, &LossConfig::default());
+    assert_eq!(arena.loss().pixel_grads.color, grads.color);
     arena.backward_fused(scene, camera, pose, backend);
-    let fused_back = fused.backward(scene, camera, pose, &grads, &Serial);
     assert_eq!(arena.backward().gaussians, fused_back.gaussians);
     assert_eq!(arena.backward().pose, fused_back.pose);
+    assert_eq!(
+        arena.backward().stats.fragment_grad_events,
+        fused_back.stats.fragment_grad_events
+    );
+    assert_eq!(
+        arena.backward().stats.gaussians_touched,
+        fused_back.stats.gaussians_touched
+    );
 }
 
 proptest! {

@@ -3,67 +3,33 @@
 //! The runtime's contract is that chunk geometry and reduction order are
 //! fixed by the algorithm, never by the worker count — so `Parallel` at ANY
 //! pool size must reproduce `Serial` exactly, bit for bit, for the full
-//! forward pipeline (projection, tiles, render) and the backward pass.
+//! fused pipeline: projection, tiles, the fragment-recording render and
+//! the backward pass that consumes its fragments.
+
+mod support;
 
 use proptest::prelude::*;
-use rtgs_math::{Quat, Se3, Vec3};
-use rtgs_render::{
-    backward_with, compute_loss, render_frame_with, BackwardOutput, ForwardContext, Gaussian3d,
-    GaussianScene, LossConfig, PinholeCamera,
-};
+use rtgs_math::{Se3, Vec3};
+use rtgs_render::{render_frame_fused_with, BackwardOutput, FusedContext, GaussianScene};
 use rtgs_runtime::{Parallel, Serial};
-
-fn arb_gaussian() -> impl Strategy<Value = Gaussian3d> {
-    (
-        (-0.9f32..0.9, -0.7f32..0.7, 0.4f32..5.0),
-        (0.02f32..0.6),
-        (-1.0f32..1.0, -1.0f32..1.0, -1.0f32..1.0, -2.0f32..2.0),
-        0.05f32..0.98,
-        (0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0),
-    )
-        .prop_map(|((x, y, z), s, (ax, ay, az, angle), o, (r, g, b))| {
-            Gaussian3d::from_activated(
-                Vec3::new(x, y, z),
-                Vec3::splat(s),
-                Quat::from_axis_angle(Vec3::new(ax, ay, az + 0.1), angle),
-                o,
-                Vec3::new(r, g, b),
-            )
-        })
-}
-
-fn arb_scene() -> impl Strategy<Value = GaussianScene> {
-    prop::collection::vec(arb_gaussian(), 1..40).prop_map(GaussianScene::from_gaussians)
-}
-
-fn camera() -> PinholeCamera {
-    PinholeCamera::from_fov(48, 36, 1.2)
-}
+use support::{arb_scene, camera, masked_row_scene, pixel_grads_from};
 
 fn run_pipeline(
     scene: &GaussianScene,
     pose: &Se3,
+    active: Option<&[bool]>,
     backend: &dyn rtgs_runtime::Backend,
-) -> (ForwardContext, BackwardOutput) {
+) -> (FusedContext, BackwardOutput) {
     let cam = camera();
-    let ctx = render_frame_with(scene, pose, &cam, None, backend);
-    let gt = rtgs_render::Image::new(cam.width, cam.height);
-    let loss = compute_loss(&ctx.output, &gt, None, &LossConfig::default());
-    let grads = backward_with(
-        scene,
-        &ctx.projection,
-        &ctx.tiles,
-        &cam,
-        pose,
-        &loss.pixel_grads,
-        backend,
-    );
+    let ctx = render_frame_fused_with(scene, pose, &cam, active, backend);
+    let pixel_grads = pixel_grads_from(&ctx.output, &cam);
+    let grads = ctx.backward(scene, &cam, pose, &pixel_grads, backend);
     (ctx, grads)
 }
 
 fn assert_bitwise_identical(
-    serial: &(ForwardContext, BackwardOutput),
-    parallel: &(ForwardContext, BackwardOutput),
+    serial: &(FusedContext, BackwardOutput),
+    parallel: &(FusedContext, BackwardOutput),
     threads: usize,
 ) {
     let (sc, sg) = serial;
@@ -77,6 +43,10 @@ fn assert_bitwise_identical(
     assert_eq!(
         sc.projection.culled, pc.projection.culled,
         "{threads} threads: culled"
+    );
+    assert_eq!(
+        sc.projection.masked, pc.projection.masked,
+        "{threads} threads: masked"
     );
     assert_eq!(
         sc.tiles.entries, pc.tiles.entries,
@@ -97,6 +67,11 @@ fn assert_bitwise_identical(
         "{threads} threads: workloads"
     );
     assert_eq!(sc.output.stats, pc.output.stats, "{threads} threads: stats");
+    assert_eq!(
+        sc.fragments.total_fragments(),
+        pc.fragments.total_fragments(),
+        "{threads} threads: cached fragments"
+    );
     // Backward: per-Gaussian gradients and the pose tangent, bit for bit.
     assert_eq!(sg.gaussians, pg.gaussians, "{threads} threads: gradients");
     assert_eq!(sg.pose, pg.pose, "{threads} threads: pose tangent");
@@ -113,17 +88,17 @@ fn assert_bitwise_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Render + backward on `Parallel` pools of size 1–8 reproduce `Serial`
-    /// bitwise on random scenes and random poses.
+    /// Fused render + backward on `Parallel` pools of size 1–8 reproduce
+    /// `Serial` bitwise on random scenes and random poses.
     #[test]
     fn parallel_matches_serial_bitwise(
         scene in arb_scene(),
         t in prop::array::uniform3(-0.2f32..0.2),
     ) {
         let pose = Se3::from_translation(Vec3::new(t[0], t[1], t[2]));
-        let serial = run_pipeline(&scene, &pose, &Serial);
+        let serial = run_pipeline(&scene, &pose, None, &Serial);
         for threads in 1..=8usize {
-            let parallel = run_pipeline(&scene, &pose, &Parallel::new(threads));
+            let parallel = run_pipeline(&scene, &pose, None, &Parallel::new(threads));
             assert_bitwise_identical(&serial, &parallel, threads);
         }
     }
@@ -132,35 +107,10 @@ proptest! {
 /// Masked (pruned) scenes follow the same contract.
 #[test]
 fn parallel_matches_serial_with_active_mask() {
-    let gaussians: Vec<Gaussian3d> = (0..30)
-        .map(|i| {
-            Gaussian3d::from_activated(
-                Vec3::new(
-                    (i as f32 * 0.07) - 1.0,
-                    (i as f32 * 0.031) - 0.45,
-                    1.5 + i as f32 * 0.1,
-                ),
-                Vec3::splat(0.2),
-                Quat::IDENTITY,
-                0.7,
-                Vec3::new(0.9, 0.4, 0.2),
-            )
-        })
-        .collect();
-    let scene = GaussianScene::from_gaussians(gaussians);
-    let mask: Vec<bool> = (0..scene.len()).map(|i| i % 3 != 0).collect();
-    let cam = camera();
-    let serial = render_frame_with(&scene, &Se3::IDENTITY, &cam, Some(&mask), &Serial);
+    let (scene, mask) = masked_row_scene();
+    let serial = run_pipeline(&scene, &Se3::IDENTITY, Some(&mask), &Serial);
     for threads in [1usize, 3, 8] {
-        let parallel = render_frame_with(
-            &scene,
-            &Se3::IDENTITY,
-            &cam,
-            Some(&mask),
-            &Parallel::new(threads),
-        );
-        assert_eq!(serial.projection.soa, parallel.projection.soa);
-        assert_eq!(serial.projection.masked, parallel.projection.masked);
-        assert_eq!(serial.output.image, parallel.output.image);
+        let parallel = run_pipeline(&scene, &Se3::IDENTITY, Some(&mask), &Parallel::new(threads));
+        assert_bitwise_identical(&serial, &parallel, threads);
     }
 }

@@ -2,13 +2,16 @@
 //!
 //! These tests are the correctness anchor for the whole reproduction: the
 //! SLAM optimizers, the RTGS pruning scores (Eq. 7) and the hardware
-//! gradient traces all consume the gradients checked here.
+//! gradient traces all consume the gradients checked here. The analytic
+//! gradients come from the production Step-❹ kernel: the fused tile pass,
+//! whose backward consumes the fragments the forward render recorded.
 
 use rtgs_math::{Quat, Se3, Vec3};
 use rtgs_render::{
-    backward, compute_loss, render_frame, DepthImage, Gaussian3d, GaussianScene, Image, LossConfig,
-    LossKind, PinholeCamera,
+    compute_loss, render_frame, render_frame_fused_with, DepthImage, Gaussian3d, GaussianScene,
+    Image, LossConfig, LossKind, PinholeCamera,
 };
+use rtgs_runtime::Serial;
 
 fn camera() -> PinholeCamera {
     PinholeCamera::from_fov(40, 32, 1.2)
@@ -78,16 +81,9 @@ fn eval_loss(scene: &GaussianScene, pose: &Se3) -> f32 {
 fn analytic_grads(scene: &GaussianScene, pose: &Se3) -> rtgs_render::BackwardOutput {
     let cam = camera();
     let (gt_img, gt_depth) = targets(&cam);
-    let ctx = render_frame(scene, pose, &cam, None);
+    let ctx = render_frame_fused_with(scene, pose, &cam, None, &Serial);
     let loss = compute_loss(&ctx.output, &gt_img, Some(&gt_depth), &loss_config());
-    backward(
-        scene,
-        &ctx.projection,
-        &ctx.tiles,
-        &cam,
-        pose,
-        &loss.pixel_grads,
-    )
+    ctx.backward(scene, &cam, pose, &loss.pixel_grads, &Serial)
 }
 
 /// Relative-error comparison with an absolute floor for near-zero gradients.
@@ -248,7 +244,7 @@ fn gradients_vanish_at_perfect_reconstruction() {
     let scene = test_scene();
     let cam = camera();
     let pose = Se3::IDENTITY;
-    let ctx = render_frame(&scene, &pose, &cam, None);
+    let ctx = render_frame_fused_with(&scene, &pose, &cam, None, &Serial);
     // Ground-truth depth is a *surface* depth: the rendered blend divided
     // by opacity coverage (matching the dataset generator's convention).
     let mut gt_depth = ctx.output.depth.clone();
@@ -268,14 +264,7 @@ fn gradients_vanish_at_perfect_reconstruction() {
         &loss_config(),
     );
     assert!(loss.loss < 1e-10);
-    let grads = backward(
-        &scene,
-        &ctx.projection,
-        &ctx.tiles,
-        &cam,
-        &pose,
-        &loss.pixel_grads,
-    );
+    let grads = ctx.backward(&scene, &cam, &pose, &loss.pixel_grads, &Serial);
     for g in &grads.gaussians {
         assert!(g.position.max_abs() < 1e-6);
         assert!(g.opacity.abs() < 1e-6);

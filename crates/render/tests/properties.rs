@@ -3,9 +3,10 @@
 use proptest::prelude::*;
 use rtgs_math::{Quat, Se3, Vec3};
 use rtgs_render::{
-    backward, compute_loss, render_frame, Gaussian3d, GaussianScene, Image, LossConfig, LossKind,
-    PinholeCamera, PixelGrads, WorkloadTrace,
+    compute_loss, render_frame, render_frame_fused_with, Gaussian3d, GaussianScene, Image,
+    LossConfig, LossKind, PinholeCamera, PixelGrads, WorkloadTrace,
 };
+use rtgs_runtime::Serial;
 
 fn arb_gaussian() -> impl Strategy<Value = Gaussian3d> {
     (
@@ -110,10 +111,9 @@ proptest! {
     #[test]
     fn zero_loss_zero_gradient(scene in arb_scene(6)) {
         let cam = camera();
-        let ctx = render_frame(&scene, &Se3::IDENTITY, &cam, None);
-        let grads = backward(
-            &scene, &ctx.projection, &ctx.tiles, &cam, &Se3::IDENTITY,
-            &PixelGrads::zeros(cam.width, cam.height));
+        let ctx = render_frame_fused_with(&scene, &Se3::IDENTITY, &cam, None, &Serial);
+        let grads = ctx.backward(
+            &scene, &cam, &Se3::IDENTITY, &PixelGrads::zeros(cam.width, cam.height), &Serial);
         prop_assert_eq!(grads.pose, [0.0; 6]);
         for g in &grads.gaussians {
             prop_assert_eq!(g.position, Vec3::ZERO);

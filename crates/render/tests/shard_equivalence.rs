@@ -19,13 +19,16 @@
 //!    size 1–8 (cull, projection, render, backward) reproduces the serial
 //!    sharded path bitwise.
 
+mod support;
+
 use proptest::prelude::*;
 use rtgs_math::{Quat, Se3, Vec3};
 use rtgs_render::{
-    compute_loss, render_frame_fused_with, render_frame_with, Gaussian3d, GaussianGrad, LossConfig,
-    PinholeCamera, PixelGrads, ShardedScene,
+    render_frame_fused_with, render_frame_with, Gaussian3d, GaussianGrad, PinholeCamera,
+    ShardedScene,
 };
 use rtgs_runtime::{Backend, Parallel, Serial};
+use support::{camera, pixel_grads_from};
 
 /// Gaussians spread over a wide world so several shards exist and a narrow
 /// frustum genuinely culls some of them.
@@ -74,18 +77,6 @@ fn arb_map() -> impl Strategy<Value = ShardedScene> {
             map
         })
         .prop_filter("need a non-empty map", |m| !m.is_empty())
-}
-
-fn camera() -> PinholeCamera {
-    PinholeCamera::from_fov(48, 36, 1.2)
-}
-
-/// Non-trivial pixel gradients derived from the rendered image (so the
-/// backward pass exercises color, depth and transmittance channels).
-fn pixel_grads_from(output: &rtgs_render::RenderOutput, cam: &PinholeCamera) -> PixelGrads {
-    let gt = rtgs_render::Image::new(cam.width, cam.height);
-    let loss = compute_loss(output, &gt, None, &LossConfig::default());
-    loss.pixel_grads
 }
 
 /// Runs the sharded path (cull → gather → project → fused render →
@@ -144,11 +135,9 @@ proptest! {
         // with the mask gathered into the same flat index space.
         let (flat, flat_ids) = map.flatten();
         let flat_mask: Vec<bool> = flat_ids.iter().map(|&id| mask[id as usize]).collect();
-        let flat_ctx = render_frame_with(&flat, &pose, &cam, Some(&flat_mask), &Serial);
+        let flat_ctx = render_frame_fused_with(&flat, &pose, &cam, Some(&flat_mask), &Serial);
         let grads = pixel_grads_from(&flat_ctx.output, &cam);
-        let flat_back = rtgs_render::backward_with(
-            &flat, &flat_ctx.projection, &flat_ctx.tiles, &cam, &pose, &grads, &Serial,
-        );
+        let flat_back = flat_ctx.backward(&flat, &cam, &pose, &grads, &Serial);
         let mut flat_by_id = vec![GaussianGrad::default(); map.capacity()];
         for (k, &id) in flat_ids.iter().enumerate() {
             flat_by_id[id as usize] = flat_back.gaussians[k];

@@ -1,67 +1,34 @@
 //! Property tests: the SoA render kernels and the fused tile pass are
 //! bitwise-identical to the seed's array-of-structs path.
 //!
-//! Three contracts over random scenes:
+//! Two contracts over random scenes:
 //!
-//! 1. **AoS == SoA** — images, depth maps, transmittance, workloads and
+//! 1. **AoS == fused** — images, depth maps, transmittance, workloads and
 //!    gradients from the preserved per-Gaussian reference pipeline
-//!    (`rtgs_render::reference`) match the SoA pipeline bit for bit.
-//! 2. **fused == unfused** — the fused tile pass (forward records fragment
-//!    sequences, backward consumes them) matches the re-walk path bit for
-//!    bit.
-//! 3. **parallel == serial for the fused pass** — at every pool size 1–8,
-//!    the fused pipeline reproduces the serial one bitwise (the unfused
-//!    pipeline's contract is covered by `backend_equivalence.rs`).
+//!    (`rtgs_render::reference`, whose backward re-walks every pixel's
+//!    splat list) match the fused tile pass (forward records fragment
+//!    sequences, backward consumes them) bit for bit.
+//! 2. **plain forward == fused forward** — the non-recording render
+//!    instantiation (`render_frame_with`, used for PSNR and dataset ground
+//!    truth) produces the fused pass's output bit for bit.
+//!
+//! Parallel == serial for the fused pipeline is covered by
+//! `backend_equivalence.rs`.
+
+mod support;
 
 use proptest::prelude::*;
-use rtgs_math::{Quat, Se3, Vec3};
-use rtgs_render::{
-    backward_with, compute_loss, reference, render_frame_fused_with, render_frame_with, Gaussian3d,
-    GaussianScene, LossConfig, PinholeCamera, PixelGrads,
-};
-use rtgs_runtime::{Parallel, Serial};
-
-fn arb_gaussian() -> impl Strategy<Value = Gaussian3d> {
-    (
-        (-0.9f32..0.9, -0.7f32..0.7, 0.4f32..5.0),
-        (0.02f32..0.6),
-        (-1.0f32..1.0, -1.0f32..1.0, -1.0f32..1.0, -2.0f32..2.0),
-        0.05f32..0.98,
-        (0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0),
-    )
-        .prop_map(|((x, y, z), s, (ax, ay, az, angle), o, (r, g, b))| {
-            Gaussian3d::from_activated(
-                Vec3::new(x, y, z),
-                Vec3::splat(s),
-                Quat::from_axis_angle(Vec3::new(ax, ay, az + 0.1), angle),
-                o,
-                Vec3::new(r, g, b),
-            )
-        })
-}
-
-fn arb_scene() -> impl Strategy<Value = GaussianScene> {
-    prop::collection::vec(arb_gaussian(), 1..40).prop_map(GaussianScene::from_gaussians)
-}
-
-fn camera() -> PinholeCamera {
-    PinholeCamera::from_fov(48, 36, 1.2)
-}
-
-/// Non-trivial pixel gradients derived from the rendered image (so the
-/// backward pass exercises color, depth and transmittance channels).
-fn pixel_grads_from(output: &rtgs_render::RenderOutput, cam: &PinholeCamera) -> PixelGrads {
-    let gt = rtgs_render::Image::new(cam.width, cam.height);
-    let loss = compute_loss(output, &gt, None, &LossConfig::default());
-    loss.pixel_grads
-}
+use rtgs_math::{Se3, Vec3};
+use rtgs_render::{reference, render_frame_fused_with, render_frame_with};
+use rtgs_runtime::Serial;
+use support::{arb_scene, camera, masked_row_scene, pixel_grads_from};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The SoA pipeline reproduces the AoS reference pipeline bit for bit:
-    /// same image, depth map, transmittance, per-pixel workloads, stats,
-    /// per-Gaussian gradients and pose tangent.
+    /// The fused SoA pipeline reproduces the AoS reference pipeline bit for
+    /// bit: same image, depth map, transmittance, per-pixel workloads,
+    /// stats, per-Gaussian gradients and pose tangent.
     #[test]
     fn soa_matches_aos_bitwise(
         scene in arb_scene(),
@@ -72,7 +39,7 @@ proptest! {
 
         let (aos_proj, aos_tiles, aos_out) =
             reference::render_frame_aos(&scene, &pose, &cam, None);
-        let ctx = render_frame_with(&scene, &pose, &cam, None, &Serial);
+        let ctx = render_frame_fused_with(&scene, &pose, &cam, None, &Serial);
 
         // Forward equivalence.
         prop_assert_eq!(aos_proj.visible_count(), ctx.projection.visible_count());
@@ -94,9 +61,7 @@ proptest! {
         // Backward equivalence (same upstream gradients on both paths).
         let grads = pixel_grads_from(&ctx.output, &cam);
         let aos_back = reference::backward_aos(&scene, &aos_proj, &aos_tiles, &cam, &pose, &grads);
-        let soa_back = backward_with(
-            &scene, &ctx.projection, &ctx.tiles, &cam, &pose, &grads, &Serial,
-        );
+        let soa_back = ctx.backward(&scene, &cam, &pose, &grads, &Serial);
         prop_assert_eq!(&aos_back.gaussians, &soa_back.gaussians);
         prop_assert_eq!(aos_back.pose, soa_back.pose);
         prop_assert_eq!(
@@ -109,11 +74,11 @@ proptest! {
         );
     }
 
-    /// The fused tile pass (record in forward, consume in backward) is
-    /// bitwise-identical to the unfused pass, and the fused pipeline on
-    /// `Parallel` pools of size 1–8 reproduces the serial fused pipeline.
+    /// The non-recording render instantiation matches the fused forward
+    /// pass bit for bit, and the fused pass caches exactly the fragments
+    /// it blended.
     #[test]
-    fn fused_matches_unfused_at_all_pool_sizes(
+    fn plain_forward_matches_fused_forward(
         scene in arb_scene(),
         t in prop::array::uniform3(-0.2f32..0.2),
     ) {
@@ -121,86 +86,39 @@ proptest! {
         let pose = Se3::from_translation(Vec3::new(t[0], t[1], t[2]));
 
         let plain = render_frame_with(&scene, &pose, &cam, None, &Serial);
-        let grads = pixel_grads_from(&plain.output, &cam);
-        let unfused_back = backward_with(
-            &scene, &plain.projection, &plain.tiles, &cam, &pose, &grads, &Serial,
-        );
-
-        let fused_serial = render_frame_fused_with(&scene, &pose, &cam, None, &Serial);
-        prop_assert_eq!(&plain.output.image, &fused_serial.output.image);
-        prop_assert_eq!(&plain.output.depth, &fused_serial.output.depth);
+        let fused = render_frame_fused_with(&scene, &pose, &cam, None, &Serial);
+        prop_assert_eq!(&plain.output.image, &fused.output.image);
+        prop_assert_eq!(&plain.output.depth, &fused.output.depth);
         prop_assert_eq!(
             &plain.output.final_transmittance,
-            &fused_serial.output.final_transmittance
+            &fused.output.final_transmittance
         );
-        prop_assert_eq!(plain.output.stats, fused_serial.output.stats);
-
-        let fused_back_serial =
-            fused_serial.backward(&scene, &cam, &pose, &grads, &Serial);
-        prop_assert_eq!(&unfused_back.gaussians, &fused_back_serial.gaussians);
-        prop_assert_eq!(unfused_back.pose, fused_back_serial.pose);
+        prop_assert_eq!(&plain.output.pixel_workloads, &fused.output.pixel_workloads);
+        prop_assert_eq!(plain.output.stats, fused.output.stats);
         prop_assert_eq!(
-            unfused_back.stats.fragment_grad_events,
-            fused_back_serial.stats.fragment_grad_events
+            fused.fragments.total_fragments(),
+            plain.output.stats.fragments_blended
         );
-
-        for threads in 1..=8usize {
-            let backend = Parallel::new(threads);
-            let fused = render_frame_fused_with(&scene, &pose, &cam, None, &backend);
-            prop_assert_eq!(
-                &fused_serial.output.image, &fused.output.image,
-                "{} threads: image", threads
-            );
-            prop_assert_eq!(
-                &fused_serial.output.final_transmittance,
-                &fused.output.final_transmittance,
-                "{} threads: transmittance", threads
-            );
-            let back = fused.backward(&scene, &cam, &pose, &grads, &backend);
-            prop_assert_eq!(
-                &fused_back_serial.gaussians, &back.gaussians,
-                "{} threads: gradients", threads
-            );
-            prop_assert_eq!(
-                fused_back_serial.pose, back.pose,
-                "{} threads: pose tangent", threads
-            );
-        }
     }
 }
 
-/// Masked (pruned) scenes follow the same AoS == SoA == fused contract.
+/// Masked (pruned) scenes follow the same AoS == fused contract.
 #[test]
 fn masked_scene_equivalence() {
-    let gaussians: Vec<Gaussian3d> = (0..30)
-        .map(|i| {
-            Gaussian3d::from_activated(
-                Vec3::new(
-                    (i as f32 * 0.07) - 1.0,
-                    (i as f32 * 0.031) - 0.45,
-                    1.5 + i as f32 * 0.1,
-                ),
-                Vec3::splat(0.2),
-                Quat::IDENTITY,
-                0.7,
-                Vec3::new(0.9, 0.4, 0.2),
-            )
-        })
-        .collect();
-    let scene = GaussianScene::from_gaussians(gaussians);
-    let mask: Vec<bool> = (0..scene.len()).map(|i| i % 3 != 0).collect();
+    let (scene, mask) = masked_row_scene();
     let cam = camera();
     let pose = Se3::IDENTITY;
 
     let (aos_proj, aos_tiles, aos_out) =
         reference::render_frame_aos(&scene, &pose, &cam, Some(&mask));
-    let ctx = render_frame_with(&scene, &pose, &cam, Some(&mask), &Serial);
-    assert_eq!(aos_proj.masked, ctx.projection.masked);
-    assert_eq!(aos_out.image, ctx.output.image);
-
-    let grads = pixel_grads_from(&ctx.output, &cam);
-    let aos_back = reference::backward_aos(&scene, &aos_proj, &aos_tiles, &cam, &pose, &grads);
     let fused = render_frame_fused_with(&scene, &pose, &cam, Some(&mask), &Serial);
+    assert_eq!(aos_proj.masked, fused.projection.masked);
+    assert_eq!(aos_out.image, fused.output.image);
+    let plain = render_frame_with(&scene, &pose, &cam, Some(&mask), &Serial);
+    assert_eq!(plain.output.image, fused.output.image);
+
+    let grads = pixel_grads_from(&fused.output, &cam);
+    let aos_back = reference::backward_aos(&scene, &aos_proj, &aos_tiles, &cam, &pose, &grads);
     let fused_back = fused.backward(&scene, &cam, &pose, &grads, &Serial);
     assert_eq!(aos_back.gaussians, fused_back.gaussians);
     assert_eq!(aos_back.pose, fused_back.pose);

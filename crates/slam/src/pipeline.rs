@@ -814,8 +814,8 @@ impl<'d> SlamPipeline<'d> {
                 (t2 - t1).as_nanos() as u64,
                 it,
             );
-            // Fused tile pass: forward records fragment sequences so the
-            // backward pass skips the re-walk (bitwise-identical output).
+            // Fused tile pass: forward records fragment sequences for the
+            // backward pass to consume.
             self.arena.render_fused(&camera, &*self.backend);
             let t3 = Instant::now();
             record_stage(

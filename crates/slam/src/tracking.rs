@@ -260,8 +260,8 @@ pub fn track_frame_with<O: TrackingObserver>(
             it,
         );
         // Fused tile pass: the render records each pixel's fragment
-        // sequence so the backward pass consumes it instead of re-walking
-        // the sorted splat lists (bitwise-identical to the unfused path).
+        // sequence for the backward pass to consume (the image is
+        // bitwise-identical to the non-recording render).
         arena.render_fused(camera, backend);
         let t3 = Instant::now();
         record_stage(
