@@ -11,12 +11,13 @@
 //!
 //! with zero frames behind — even for a stream running under an
 //! aggressive fault plan (drops, duplicates, corruption, delays), and
-//! even when the session replicates on a stride.
+//! even when the session replicates on a stride. A stream that cannot be
+//! drained is reported, not fatal: the run still returns its outcomes.
 
 use rtgs_replicate::{
     duplex_pair, DuplexLink, FaultPlan, Follower, ReplicatedSession, ReplicationPolicy, Replicator,
 };
-use rtgs_runtime::{ReplicationOptions, Serve};
+use rtgs_runtime::{HealthVerdict, Serve};
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
 use rtgs_slam::{config_fingerprint, BaseAlgorithm, SlamConfig, SlamPipeline};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -95,10 +96,7 @@ fn serve_shutdown_drains_every_replication_stream() {
         ));
     }
 
-    let outcomes = Serve::builder()
-        .threads(2)
-        .replicate(ReplicationOptions::new())
-        .run(sessions);
+    let outcomes = Serve::builder().threads(2).run(sessions);
 
     assert_eq!(outcomes.len(), 3);
     for outcome in &outcomes {
@@ -147,34 +145,46 @@ fn serve_shutdown_drains_every_replication_stream() {
 }
 
 #[test]
-fn drain_can_be_disabled_per_fleet() {
+fn failed_drain_is_reported_and_the_run_still_returns() {
     let config = quick_config();
     let fingerprint = config_fingerprint(&config);
     let dataset = SyntheticDataset::generate(DatasetProfile::tum_analog().tiny(), FRAMES);
 
-    // A link nobody ever reads: with drain enabled this would stall the
-    // shutdown (and eventually error); with drain disabled the fleet
-    // shuts down immediately and simply reports the lag it left behind.
+    // A link nobody ever reads: nothing is ever acked, so the stream's
+    // small retry budget runs out and the shutdown drain fails.
     let (primary_link, _parked_follower_link) = duplex_pair();
     let replicator = Replicator::new(
         primary_link,
         fingerprint,
-        ReplicationPolicy::new(),
+        ReplicationPolicy::new()
+            .with_retransmit_after(1)
+            .with_backoff_cap(1)
+            .with_max_attempts(2),
         FaultPlan::lossless(5),
     );
     let pipeline = SlamPipeline::new(config, &dataset);
 
-    let outcomes = Serve::builder()
-        .threads(1)
-        .replicate(ReplicationOptions::new().with_drain_on_shutdown(false))
-        .run(vec![(
-            "undrained".to_string(),
-            ReplicatedSession::new(pipeline, replicator),
-        )]);
+    // The counter is process-global and other tests may serve concurrently,
+    // so compare before/after rather than against an absolute value.
+    let drain_failures = rtgs_telemetry::global().counter("serve.replication.drain_failures");
+    let before = drain_failures.get();
+    let outcomes = Serve::builder().threads(1).run(vec![(
+        "undrainable".to_string(),
+        ReplicatedSession::new(pipeline, replicator),
+    )]);
 
-    let replication = outcomes[0].stats.replication.unwrap();
+    assert_eq!(outcomes.len(), 1);
+    let stats = &outcomes[0].stats;
+    assert!(stats.completed);
+    let replication = stats.replication.unwrap();
     assert!(
         replication.frames_behind > 0,
-        "with drain disabled and no follower, lag must be visible: {replication:?}"
+        "an unread follower leaves frames behind: {replication:?}"
+    );
+    assert!(stats.health.replication_failed);
+    assert_eq!(stats.health.verdict(), HealthVerdict::Critical);
+    assert!(
+        drain_failures.get() > before,
+        "the failed drain must be counted"
     );
 }

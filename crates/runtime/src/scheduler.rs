@@ -226,44 +226,6 @@ pub struct ReplicationStats {
     pub epoch: u32,
 }
 
-/// Scheduler-level replication behavior, attached via
-/// [`crate::ServeBuilder::replicate`].
-///
-/// `#[non_exhaustive]`: construct via [`ReplicationOptions::new`] plus the
-/// `with_*` builders.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct ReplicationOptions {
-    /// Drain every session's replication stream at graceful shutdown so
-    /// final stats balance (default `true`). Disable only for
-    /// fire-and-forget streams where shutdown latency matters more than
-    /// exact frame accounting.
-    pub drain_on_shutdown: bool,
-}
-
-impl Default for ReplicationOptions {
-    fn default() -> Self {
-        Self {
-            drain_on_shutdown: true,
-        }
-    }
-}
-
-impl ReplicationOptions {
-    /// The default options: drain on shutdown.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets whether graceful shutdown drains replication streams.
-    #[must_use]
-    pub fn with_drain_on_shutdown(mut self, drain: bool) -> Self {
-        self.drain_on_shutdown = drain;
-        self
-    }
-}
-
 /// Residency budget driving hibernate-to-disk eviction.
 ///
 /// `#[non_exhaustive]`: construct via [`EvictionPolicy::new`] plus the
@@ -423,13 +385,33 @@ struct Entry<S> {
     latency: Histogram,
 }
 
-impl<S> Entry<S> {
-    #[inline]
-    fn record_step(&mut self, elapsed: Duration, round: u64) {
-        self.wall += elapsed;
-        self.latency.record(elapsed.as_nanos() as u64);
-        self.steps += 1;
-        self.last_stepped_round = round;
+impl<S: Session> Entry<S> {
+    /// Steps the session once and books the result: a counted step (its
+    /// latency in the session and fleet histograms, the coldness stamp)
+    /// or, for an `Idle` no-op, one more parked round.
+    fn step_and_record(&mut self, idx: usize, round: u64, metrics: &SchedulerMetrics) {
+        let span = SpanGuard::new("serve.step", "session", idx as u64);
+        let t0 = Instant::now();
+        let status = self.session.step();
+        let elapsed = t0.elapsed();
+        drop(span);
+        match status {
+            SessionStatus::Idle => {
+                // The readiness probe raced a consumer: the no-op is not a
+                // step and takes no sample.
+                self.idle_rounds += 1;
+            }
+            SessionStatus::Running | SessionStatus::Finished => {
+                let ns = elapsed.as_nanos() as u64;
+                self.wall += elapsed;
+                self.latency.record(ns);
+                self.steps += 1;
+                self.last_stepped_round = round;
+                metrics.step_ns.record(ns);
+                metrics.steps.incr();
+                self.done = status == SessionStatus::Finished;
+            }
+        }
     }
 }
 
@@ -467,6 +449,7 @@ impl SchedulerMetrics {
 }
 
 /// Serves N sessions concurrently over one pool with round-robin fairness.
+/// Obtained from [`ServeBuilder::build`](crate::ServeBuilder::build).
 pub struct SessionScheduler<S: Session> {
     pool: Arc<ThreadPool>,
     sessions: Vec<Entry<S>>,
@@ -475,55 +458,26 @@ pub struct SessionScheduler<S: Session> {
     ingest: Option<IngestHub>,
     metrics: SchedulerMetrics,
     snapshot_writer: Option<SnapshotWriter>,
-    replication: Option<ReplicationOptions>,
 }
 
 impl<S: Session> SessionScheduler<S> {
-    /// Scheduler over the shared pool with `threads` workers (`0` = machine
-    /// size).
-    pub fn new(threads: usize) -> Self {
-        Self::with_pool(crate::backend::shared_pool(threads))
-    }
-
-    /// Scheduler over an explicit pool.
-    pub fn with_pool(pool: Arc<ThreadPool>) -> Self {
+    /// A scheduler with no sessions yet; configured only through
+    /// [`ServeBuilder`](crate::ServeBuilder).
+    pub(crate) fn configured(
+        pool: Arc<ThreadPool>,
+        policy: Option<EvictionPolicy>,
+        ingest: Option<IngestHub>,
+        snapshot_writer: Option<SnapshotWriter>,
+    ) -> Self {
         Self {
             pool,
             sessions: Vec::new(),
             stop: Arc::new(AtomicBool::new(false)),
-            policy: None,
-            ingest: None,
+            policy,
+            ingest,
             metrics: SchedulerMetrics::from_global(),
-            snapshot_writer: None,
-            replication: None,
+            snapshot_writer,
         }
-    }
-
-    /// Attaches a hibernate-to-disk eviction policy (see the module docs).
-    pub fn set_eviction_policy(&mut self, policy: EvictionPolicy) {
-        self.policy = Some(policy);
-    }
-
-    /// Attaches the open-loop ingestion hub: the scheduler parks on the
-    /// hub's [`WorkSignal`](crate::ingest::WorkSignal) when no session is
-    /// ready, and [`try_admit`](Self::try_admit) enforces the hub's
-    /// session cap.
-    pub fn set_ingest(&mut self, hub: &IngestHub) {
-        self.ingest = Some(hub.clone());
-    }
-
-    /// Attaches a periodic telemetry-snapshot writer: the global registry is
-    /// exported to the writer's path between rounds (rate-limited by the
-    /// writer's interval) and once more on shutdown.
-    pub fn set_snapshot_writer(&mut self, writer: SnapshotWriter) {
-        self.snapshot_writer = Some(writer);
-    }
-
-    /// Attaches replication behavior (see [`ReplicationOptions`]). Without
-    /// this the scheduler still drains replicating sessions at shutdown
-    /// with default options — attach explicitly only to change them.
-    pub fn set_replication(&mut self, options: ReplicationOptions) {
-        self.replication = Some(options);
     }
 
     /// Mirrors the pool's scheduling counters into the global registry so
@@ -650,7 +604,7 @@ impl<S: Session> SessionScheduler<S> {
     /// headroom free for an imminent rehydration. Stops early when nothing
     /// evictable remains.
     fn enforce_budget(&mut self, reserve_sessions: usize, reserve_bytes: usize) {
-        let Some(policy) = self.policy.clone() else {
+        let Some(policy) = &self.policy else {
             return;
         };
         // With a rehydration imminent (a non-zero reserve) residency may
@@ -722,11 +676,11 @@ impl<S: Session> SessionScheduler<S> {
     }
 
     fn rehydrate(&mut self, idx: usize) {
-        let policy = self
+        let path = self
             .policy
-            .clone()
-            .expect("hibernated sessions only exist under a policy");
-        let path = policy.spill_path(idx);
+            .as_ref()
+            .expect("hibernated sessions only exist under a policy")
+            .spill_path(idx);
         let entry = &mut self.sessions[idx];
         let _span = SpanGuard::new("serve.rehydrate", "io", idx as u64);
         let t0 = Instant::now();
@@ -796,8 +750,7 @@ impl<S: Session> SessionScheduler<S> {
             // Phase 1: every *ready* resident live session advances one
             // step; the steps run concurrently on the pool. Parked sessions
             // spawn no pool job at all.
-            let fleet_step_ns: &Histogram = &self.metrics.step_ns;
-            let fleet_steps: &Counter = &self.metrics.steps;
+            let metrics = &self.metrics;
             self.pool.scope(|scope| {
                 for (idx, entry) in self
                     .sessions
@@ -805,27 +758,7 @@ impl<S: Session> SessionScheduler<S> {
                     .enumerate()
                     .filter(|(_, entry)| !entry.done && !entry.hibernated && entry.ready_now)
                 {
-                    scope.spawn(move || {
-                        let _span = SpanGuard::new("serve.step", "session", idx as u64);
-                        let t0 = Instant::now();
-                        let status = entry.session.step();
-                        let elapsed = t0.elapsed();
-                        match status {
-                            SessionStatus::Idle => {
-                                // The readiness probe raced a consumer: the
-                                // no-op is not a step and takes no sample.
-                                entry.idle_rounds += 1;
-                            }
-                            SessionStatus::Running | SessionStatus::Finished => {
-                                entry.record_step(elapsed, round);
-                                fleet_step_ns.record(elapsed.as_nanos() as u64);
-                                fleet_steps.incr();
-                                if status == SessionStatus::Finished {
-                                    entry.done = true;
-                                }
-                            }
-                        }
-                    });
+                    scope.spawn(move || entry.step_and_record(idx, round, metrics));
                 }
             });
 
@@ -849,25 +782,7 @@ impl<S: Session> SessionScheduler<S> {
                 // budget holds during its step, not just between rounds.
                 self.enforce_budget(1, self.sessions[idx].parked_bytes);
                 self.rehydrate(idx);
-                let entry = &mut self.sessions[idx];
-                let span = SpanGuard::new("serve.step", "session", idx as u64);
-                let t0 = Instant::now();
-                let status = entry.session.step();
-                let elapsed = t0.elapsed();
-                drop(span);
-                match status {
-                    SessionStatus::Idle => {
-                        entry.idle_rounds += 1;
-                    }
-                    SessionStatus::Running | SessionStatus::Finished => {
-                        entry.record_step(elapsed, round);
-                        self.metrics.step_ns.record(elapsed.as_nanos() as u64);
-                        self.metrics.steps.incr();
-                        if status == SessionStatus::Finished {
-                            entry.done = true;
-                        }
-                    }
-                }
+                self.sessions[idx].step_and_record(idx, round, &self.metrics);
                 self.enforce_budget(0, 0);
             }
 
@@ -918,21 +833,13 @@ impl<S: Session> SessionScheduler<S> {
         // Drain replication streams before reports are taken: outstanding
         // records get acked (or typed-fail) and journals are fsynced, so
         // `frames_processed == frames_replicated + frames_dropped_by_policy`
-        // holds in the final stats. On by default; an attached
-        // ReplicationOptions can opt out. Failures are counted, not fatal —
-        // the report still collects.
-        let drain = self
-            .replication
-            .as_ref()
-            .map_or(true, |options| options.drain_on_shutdown);
-        if drain {
-            let drain_failures =
-                rtgs_telemetry::global().counter("serve.replication.drain_failures");
-            for entry in &mut self.sessions {
-                if entry.session.drain_replication().is_err() {
-                    drain_failures.incr();
-                    entry.drain_failed = true;
-                }
+        // holds in the final stats. Failures are counted, not fatal — the
+        // report still collects.
+        let drain_failures = rtgs_telemetry::global().counter("serve.replication.drain_failures");
+        for entry in &mut self.sessions {
+            if entry.session.drain_replication().is_err() {
+                drain_failures.incr();
+                entry.drain_failed = true;
             }
         }
 
@@ -996,6 +903,7 @@ impl<S: Session> SessionScheduler<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Serve;
 
     struct Counter {
         target: usize,
@@ -1039,7 +947,7 @@ mod tests {
     #[test]
     fn all_sessions_complete_with_uneven_lengths() {
         let log = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let mut scheduler = SessionScheduler::new(2);
+        let mut scheduler = Serve::builder().threads(2).build();
         for (id, target) in [(0, 3), (1, 7), (2, 1), (3, 5)] {
             scheduler.add_session(format!("s{id}"), counter(id, target, &log));
         }
@@ -1065,7 +973,7 @@ mod tests {
         // With round-robin, after the log's first 2N entries every live
         // session has stepped exactly twice.
         let log = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let mut scheduler = SessionScheduler::new(3);
+        let mut scheduler = Serve::builder().threads(3).build();
         for id in 0..4 {
             scheduler.add_session(format!("s{id}"), counter(id, 6, &log));
         }
@@ -1081,7 +989,7 @@ mod tests {
     #[test]
     fn graceful_shutdown_yields_partial_reports() {
         let log = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let mut scheduler = SessionScheduler::new(2);
+        let mut scheduler = Serve::builder().threads(2).build();
         let handle = scheduler.shutdown_handle();
         let mut first = counter(0, 1000, &log);
         // The first session requests shutdown on its first step.
@@ -1100,7 +1008,7 @@ mod tests {
 
     #[test]
     fn empty_scheduler_returns_no_outcomes() {
-        let scheduler: SessionScheduler<Counter> = SessionScheduler::new(1);
+        let scheduler = Serve::builder().threads(1).build::<Counter>();
         assert!(scheduler.run().is_empty());
     }
 
@@ -1109,10 +1017,10 @@ mod tests {
         // Counters use the default (unsupported) hibernate: a residency
         // budget must not stall or drop them.
         let log = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let mut scheduler = SessionScheduler::new(2);
-        scheduler.set_eviction_policy(
-            EvictionPolicy::new(test_dir("never-evict")).with_max_resident_sessions(1),
-        );
+        let mut scheduler = Serve::builder()
+            .threads(2)
+            .eviction(EvictionPolicy::new(test_dir("never-evict")).with_max_resident_sessions(1))
+            .build();
         for id in 0..3 {
             scheduler.add_session(format!("s{id}"), counter(id, 4, &log));
         }
@@ -1215,10 +1123,10 @@ mod tests {
     #[test]
     fn residency_budget_is_respected_and_all_complete() {
         let probe = Arc::new(std::sync::Mutex::new(ResidencyProbe::default()));
-        let mut scheduler = SessionScheduler::new(2);
-        scheduler.set_eviction_policy(
-            EvictionPolicy::new(test_dir("budget")).with_max_resident_sessions(2),
-        );
+        let mut scheduler = Serve::builder()
+            .threads(2)
+            .eviction(EvictionPolicy::new(test_dir("budget")).with_max_resident_sessions(2))
+            .build();
         for _ in 0..5 {
             scheduler.add_session("spillable", Spillable::new(4, 0, &probe));
         }
@@ -1264,10 +1172,10 @@ mod tests {
     #[test]
     fn memory_budget_triggers_eviction() {
         let probe = Arc::new(std::sync::Mutex::new(ResidencyProbe::default()));
-        let mut scheduler = SessionScheduler::new(2);
-        scheduler.set_eviction_policy(
-            EvictionPolicy::new(test_dir("membudget")).with_max_resident_bytes(250),
-        );
+        let mut scheduler = Serve::builder()
+            .threads(2)
+            .eviction(EvictionPolicy::new(test_dir("membudget")).with_max_resident_bytes(250))
+            .build();
         for _ in 0..3 {
             // 3 x 100 bytes > 250: at least one session must spill.
             scheduler.add_session("hundred", Spillable::new(3, 100, &probe));
@@ -1293,10 +1201,10 @@ mod tests {
     #[test]
     fn shutdown_while_hibernated_still_reports() {
         let probe = Arc::new(std::sync::Mutex::new(ResidencyProbe::default()));
-        let mut scheduler = SessionScheduler::new(2);
-        scheduler.set_eviction_policy(
-            EvictionPolicy::new(test_dir("shutdown")).with_max_resident_sessions(1),
-        );
+        let mut scheduler = Serve::builder()
+            .threads(2)
+            .eviction(EvictionPolicy::new(test_dir("shutdown")).with_max_resident_sessions(1))
+            .build();
         let handle = scheduler.shutdown_handle();
         for _ in 0..3 {
             scheduler.add_session("spillable", Spillable::new(100, 0, &probe));

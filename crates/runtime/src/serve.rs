@@ -1,11 +1,6 @@
-//! One front door for serving: [`Serve::builder`].
-//!
-//! The serving surface accreted entry points as features landed —
-//! `serve_sessions`, `serve_sessions_with_eviction`,
-//! `SessionScheduler::{new, with_pool, set_eviction_policy,
-//! set_snapshot_writer, set_ingest}` — each a different spelling of "run
-//! these sessions with this configuration". [`ServeBuilder`] collapses them
-//! into one chain:
+//! The one way to configure serving: [`Serve::builder`]. Every serving
+//! run — closed-loop, evicting, open-loop, replicating — is the same
+//! chain:
 //!
 //! ```
 //! use rtgs_runtime::{Serve, Session, SessionStatus};
@@ -29,14 +24,12 @@
 //!
 //! Eviction, open-loop ingestion, and telemetry snapshots are opt-in rungs
 //! on the same chain: `.eviction(policy)`, `.ingest(&hub)`,
-//! `.snapshot_writer(writer)`. The old free functions in `rtgs-slam`
-//! remain as deprecated wrappers delegating here.
+//! `.snapshot_writer(writer)`. Replicating sessions need no rung: graceful
+//! shutdown always drains their streams before reports are taken.
 
 use crate::ingest::IngestHub;
 use crate::pool::ThreadPool;
-use crate::scheduler::{
-    EvictionPolicy, ReplicationOptions, Session, SessionOutcome, SessionScheduler,
-};
+use crate::scheduler::{EvictionPolicy, Session, SessionOutcome, SessionScheduler};
 use rtgs_telemetry::SnapshotWriter;
 use std::sync::Arc;
 
@@ -67,7 +60,6 @@ pub struct ServeBuilder {
     eviction: Option<EvictionPolicy>,
     ingest: Option<IngestHub>,
     snapshot_writer: Option<SnapshotWriter>,
-    replicate: Option<ReplicationOptions>,
 }
 
 impl ServeBuilder {
@@ -111,38 +103,16 @@ impl ServeBuilder {
         self
     }
 
-    /// Configures replication behavior for replicating sessions (see
-    /// [`ReplicationOptions`]). Streams of replicating sessions are drained
-    /// at graceful shutdown even without this rung — attach it only to
-    /// change the defaults.
-    pub fn replicate(mut self, options: ReplicationOptions) -> Self {
-        self.replicate = Some(options);
-        self
-    }
-
     /// Finishes the chain into a configured [`SessionScheduler`] with no
     /// sessions yet — the escape hatch when the caller needs
     /// [`try_admit`](SessionScheduler::try_admit), a
     /// [`shutdown_handle`](SessionScheduler::shutdown_handle), or staged
     /// session registration before serving.
     pub fn build<S: Session>(self) -> SessionScheduler<S> {
-        let mut scheduler = match self.pool {
-            Some(pool) => SessionScheduler::with_pool(pool),
-            None => SessionScheduler::new(self.threads),
-        };
-        if let Some(policy) = self.eviction {
-            scheduler.set_eviction_policy(policy);
-        }
-        if let Some(hub) = &self.ingest {
-            scheduler.set_ingest(hub);
-        }
-        if let Some(writer) = self.snapshot_writer {
-            scheduler.set_snapshot_writer(writer);
-        }
-        if let Some(options) = self.replicate {
-            scheduler.set_replication(options);
-        }
-        scheduler
+        let pool = self
+            .pool
+            .unwrap_or_else(|| crate::backend::shared_pool(self.threads));
+        SessionScheduler::configured(pool, self.eviction, self.ingest, self.snapshot_writer)
     }
 
     /// Registers the labelled sessions and serves them to completion,

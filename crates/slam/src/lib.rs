@@ -42,8 +42,6 @@ pub use pipeline::{
 };
 pub use profile::StageTimings;
 pub use rtgs_telemetry::{StageId, StageNanos};
-#[allow(deprecated)] // re-exported until the deprecation window closes
-pub use serve::{serve_sessions, serve_sessions_with_eviction};
 pub use snapshot::config_fingerprint;
 pub use tracking::{
     track_frame, track_frame_with, IterationArtifacts, NoObserver, TrackResult, TrackingConfig,
